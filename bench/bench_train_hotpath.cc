@@ -304,18 +304,17 @@ int main(int argc, char** argv) {
 
     std::printf(
         "    {\"name\": \"%s\", \"fields\": %u, \"trained_trees\": %u,\n"
-        "     \"seed_serial_s\": %.4f, \"new_1t_s\": %.4f, \"new_%ut_s\": "
+        "     \"seed_serial_s\": %.4f, \"new_1t_s\": %.4f, \"new_nt_s\": "
         "%.4f,\n"
         "     \"seed_serial_cpu_s\": %.4f, \"new_1t_cpu_s\": %.4f,\n"
         "     \"speedup_1t\": %.2f, \"speedup_1t_cpu\": %.2f, "
-        "\"speedup_%ut\": %.2f,\n"
+        "\"speedup_nt\": %.2f,\n"
         "     \"models_match_seed\": %s,\n"
         "     \"histogram_allocations\": %llu, \"histogram_acquires\": %llu,\n"
         "     \"arena_bytes\": %llu, \"row_major_matrix_bytes\": %llu}%s\n",
         spec.name.c_str(), data.num_fields(), seed_trees, seed_s,
-        new1_s, args.threads, newn_s, seed_cpu, new1_cpu,
-        seed_s / new1_s, seed_cpu / new1_cpu, args.threads,
-        seed_s / newn_s, models_match ? "true" : "false",
+        new1_s, newn_s, seed_cpu, new1_cpu, seed_s / new1_s,
+        seed_cpu / new1_cpu, seed_s / newn_s, models_match ? "true" : "false",
         static_cast<unsigned long long>(newn_stats.histogram_allocations),
         static_cast<unsigned long long>(newn_stats.histogram_acquires),
         static_cast<unsigned long long>(newn_stats.arena_bytes),

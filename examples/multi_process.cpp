@@ -20,14 +20,16 @@
 // threads instead (same protocol, no fork), which is the variant the
 // sanitizer CI leg executes.
 //
-// --transport tcp runs the *elastic* world over real localhost TCP: rank 0
-// listens on an ephemeral port and recomputes the shard assignment at tree
-// boundaries from live membership. With --kill-rejoin, worker --die-rank
-// SIGKILLs itself mid-tree at --die-tree (rank 0 adopts its shards), and a
-// fresh incarnation of the same rank connects at --rejoin-tree (admitted
-// with a catch-up replay) -- the survivors, the rejoiner, and rank 0 all
-// still verify bit-identical to the single-process trainer. This is the
-// worker-churn demonstration scripts/check.sh runs.
+// --transport tcp runs the world over real localhost TCP: rank 0 listens
+// on an ephemeral port and, as in every world, recomputes the shard
+// assignment at tree boundaries from live membership -- which TCP, unlike
+// the other transports, reports as it changes. With --kill-rejoin, worker
+// --die-rank SIGKILLs itself mid-tree at --die-tree (rank 0 adopts its
+// shards), and a fresh incarnation of the same rank connects at
+// --rejoin-tree (admitted with a catch-up replay) -- the survivors, the
+// rejoiner, and rank 0 all still verify bit-identical to the
+// single-process trainer. This is the worker-churn demonstration
+// scripts/check.sh runs.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -223,11 +225,10 @@ int run_rank(const Args& args, const std::string& path, std::uint32_t rank) {
   return 0;
 }
 
-/// Elastic timing: production defaults are 10s windows; the demo tightens
+/// TCP-world timing: production defaults are 10s windows; the demo tightens
 /// them so detection and reconnects land in fractions of a second.
-gbdt::DistributedConfig make_elastic_config(const Args& args) {
+gbdt::DistributedConfig make_tcp_config(const Args& args) {
   gbdt::DistributedConfig cfg = make_config(args);
-  cfg.elastic = true;
   cfg.channel.recv_timeout = std::chrono::milliseconds(25);
   cfg.channel.liveness_timeout = std::chrono::milliseconds(500);
   cfg.channel.heartbeat_interval = std::chrono::milliseconds(50);
@@ -245,7 +246,7 @@ ipc::TcpOptions make_tcp_options() {
 
 /// One TCP worker process: optionally parks on `wait_fd` until rank 0
 /// signals the rejoin boundary, then connects with a fresh session nonce
-/// and follows the elastic assignment stream. `dies` arms the SIGKILL
+/// and follows the assignment stream. `dies` arms the SIGKILL
 /// churn hook (mid-tree, after the root histograms shipped).
 int run_tcp_worker(const Args& args, std::uint16_t port, std::uint32_t rank,
                    int wait_fd, bool dies) {
@@ -260,7 +261,7 @@ int run_tcp_worker(const Args& args, std::uint16_t port, std::uint32_t rank,
     ::close(wait_fd);
   }
 
-  gbdt::DistributedConfig cfg = make_elastic_config(args);
+  gbdt::DistributedConfig cfg = make_tcp_config(args);
   if (dies) {
     cfg.churn_hook = [&args](std::uint32_t tree,
                              gbdt::ElasticChurnPoint point) {
@@ -286,7 +287,7 @@ int run_tcp_worker(const Args& args, std::uint16_t port, std::uint32_t rank,
   return verify(got, ref, data, rank) ? 0 : 1;
 }
 
-/// The elastic localhost-TCP world: rank 0 listens, forks the workers
+/// The localhost-TCP world: rank 0 listens, forks the workers
 /// (plus a parked rejoin incarnation when --kill-rejoin), trains, and
 /// reaps. The rejoiner is forked *before* training so no fork happens
 /// while rank 0's thread pool exists; it parks on a pipe until rank 0's
@@ -351,7 +352,7 @@ int run_tcp(const Args& args) {
     return 1;
   }
 
-  gbdt::DistributedConfig cfg = make_elastic_config(args);
+  gbdt::DistributedConfig cfg = make_tcp_config(args);
   bool released = false;
   cfg.on_tree_boundary = [&](std::uint32_t tree) {
     if (!args.kill_rejoin || tree != args.rejoin_tree || released) return;

@@ -4,7 +4,8 @@
 # loops and engine shims are exactly where UB hides), run a TSan leg over
 # the concurrent subset (threaded rank worlds, TCP pump loops, thread
 # pool), then run the training hot-path and closed-loop benches in
-# Release.
+# Release, and finally the repository benchmark's tests and its dist-fraud
+# workload.
 #
 #   scripts/check.sh [build-dir]
 #
@@ -119,7 +120,7 @@ done
 # sharded engine (runner.shards) before the perf sweep.
 "$BUILD_DIR/booster_scenarios" run-builtin dse_shard_sweep --quick > /dev/null
 
-# Cross-process leg (ISSUE 5 acceptance): the multi_process example forks
+# Cross-process leg: the multi_process example forks
 # real worker processes over the file and socket transports and exits
 # non-zero if any rank's model diverges by a bit from the in-process
 # trainer.
@@ -128,8 +129,9 @@ done
 "$BUILD_DIR/multi_process" --transport socket --procs 4 --shards 3 \
   --records 8000 --trees 4
 
-# Elastic TCP leg (ISSUE 6 acceptance): real worker processes over
-# localhost TCP -- first a static world, then the churn flow: one worker
+# TCP leg: real worker processes over localhost TCP, through the same
+# membership protocol every world runs -- first a world whose membership
+# never changes after it assembles, then the churn flow: one worker
 # SIGKILLs itself mid-tree (rank 0 adopts its shards) and a fresh
 # incarnation of the same rank rejoins two boundaries later with a
 # catch-up replay. Both runs exit non-zero unless every surviving rank's
@@ -143,8 +145,18 @@ done
 # Benches (quick mode keeps CI fast; JSON goes to stdout so the trajectory
 # can be archived by the caller). bench_sharded and bench_distributed exit
 # non-zero if sharded / distributed output ever diverges from the
-# in-process trainer.
+# in-process trainer. The one-thread hot-path run must still be valid JSON
+# with no key repeated in any object (the threaded leg has its own keys).
 "$BUILD_DIR/bench_train_hotpath" --quick
+"$BUILD_DIR/bench_train_hotpath" --quick --threads 1 | python3 -c '
+import json, sys
+def unique(pairs):
+    keys = [k for k, _ in pairs]
+    dup = sorted({k for k in keys if keys.count(k) > 1})
+    if dup:
+        sys.exit("bench_train_hotpath: duplicate JSON keys %s" % dup)
+    return dict(pairs)
+json.load(sys.stdin, object_pairs_hook=unique)'
 "$BUILD_DIR/bench_closed_loop" --quick
 "$BUILD_DIR/bench_sharded" --quick
 "$BUILD_DIR/bench_distributed" --quick
@@ -171,3 +183,15 @@ done
 "$BUILD_DIR/bench_stream" --quick
 BOOSTER_SIMD=scalar "$BUILD_DIR/test_stream" \
   --gtest_filter='Retrainer.WarmStartRefreshesBitIdenticalAcrossThreadsAndShards'
+
+# Benchmark leg: the repository benchmark (perfbench/, BENCHMARK.json)
+# builds into run.py's own tree, runs its unit tests, then runs the
+# dist-fraud workload: two ranks over localhost TCP through the one
+# distributed protocol. run.py exits non-zero unless both ranks' models
+# are bit-identical to the in-process Trainer.
+PERF_DIR=.bench_build/perfbench
+cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PERF_DIR" -j "$(nproc)" --target perfbench perfbench_tests
+"$PERF_DIR/perfbench_tests"
+python3 perfbench/run.py --workload dist-fraud --seed 1 --seconds 10 \
+  --trace 0

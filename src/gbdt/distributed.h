@@ -1,43 +1,45 @@
-// Cross-process sharded GBDT training over a pluggable histogram
-// transport (ROADMAP cross-process follow-on). The world is a star of
-// `world_size` ranks around rank 0:
+// Distributed sharded GBDT training over a pluggable histogram transport.
+// The world is a star of `world_size` ranks around rank 0, and every world
+// runs the same protocol:
 //
-//   * every rank holds the same BinnedDataset and the same config, and
-//     owns a contiguous range of the global shard partition (a
-//     gbdt::ShardGroup);
-//   * workers build per-shard node histograms and ship them to rank 0
-//     over ipc::ReliableChannel (versioned, checksummed, sequence-numbered
-//     frames -- ipc::HistogramCodec);
-//   * rank 0 merges shard histograms with Histogram::add in fixed global
-//     shard order, runs the (threaded, serial-identical) split scan, and
-//     broadcasts each split decision; every rank applies the decision to
-//     its own shards. Finished trees and per-tree verdicts broadcast the
-//     same way, so every rank returns the same model;
-//   * faults are survived by the channel's retry protocol (per-message
-//     checksum + sequence numbers + bounded re-request); a worker that
-//     stays unresponsive through the attempt budget is declared dead and
+//   * every rank holds the same BinnedDataset and the same config, so the
+//     global shard partition agrees without communication;
+//   * rank 0 owns the membership view. At every tree boundary it admits
+//     connected ranks (a catch-up message carries every finished tree),
+//     drops dead ones, recomputes the contiguous shard->rank assignment
+//     over the live participants, and sends each worker its range for
+//     the tree (kShardAssign);
+//   * workers build per-shard node histograms over their range (a
+//     gbdt::ShardGroup) and ship them to rank 0 over ipc::ReliableChannel
+//     (versioned, checksummed, sequence-numbered frames --
+//     ipc::HistogramCodec); rank 0 merges shard histograms with
+//     Histogram::add in fixed global shard order, runs the split scan, and
+//     broadcasts each split decision. Finished trees and per-tree verdicts
+//     broadcast the same way, and a final assignment ends the run, so
+//     every rank returns the same model;
+//   * faults are survived by the channel's retry protocol; a worker that
+//     shows no sign of life past its liveness deadline is declared dead,
 //     rank 0 re-executes its shards locally (catch-up replay of finished
-//     trees plus the current tree's decision log -- pure recomputation,
-//     so the result is unchanged).
+//     trees plus the current tree's decision log), and the next boundary
+//     drops it from the view.
+//
+// Membership comes from the transport. Transports without membership
+// events (loopback, file, socket, and fault-wrapped ones) report every
+// rank connected, so their whole world enters at tree 0 and changes only
+// through adoption: a static world is the case whose membership never
+// changes. TCP also reports late joins and new sessions (a rank that died
+// and came back), which rank 0 admits at the next boundary. With no
+// transport at all (nullptr) the trainer is a single-rank world -- the
+// engine ShardedTrainer delegates to.
 //
 // Because the shard merge is quantized-exact and the per-shard partition
-// is stable (PR 4), the trained model -- structure, weights, gains,
-// per-tree losses, predictions, and rank-0's StepTrace -- is bit-identical
-// to gbdt::Trainer at every (transport, world size, shard count, thread
-// count), including under every recoverable injected fault. That contract
-// is EXPECT_EQ-asserted by tests/test_distributed.cc and
-// tests/test_distributed_faults.cc.
-// Elastic membership (DistributedConfig.elastic, TCP worlds): instead of
-// a fixed world, rank 0 recomputes the shard->rank assignment at every
-// tree boundary from the transport's live membership view. Late joiners
-// are admitted with a catch-up message (every finished tree + loss) and
-// enter at the next boundary; workers that die mid-tree are adopted as
-// before and evicted at the boundary; a worker that dies and rejoins (a
-// new session nonce on the same rank) is re-admitted through the same
-// catch-up path. Because every regrouping is a pure recomputation over
-// the quantized-exact shard partition, the final model stays bit-identical
-// to gbdt::Trainer through any such churn -- tests/test_elastic.cc
-// EXPECT_EQ-asserts this across kill / hang / rejoin schedules.
+// is stable, every regrouping is a pure recomputation: the trained
+// model -- structure, weights, gains, per-tree losses, predictions, and
+// rank-0's StepTrace -- is bit-identical to gbdt::Trainer at every
+// (transport, world size, shard count, thread count), under every
+// recoverable injected fault, and through kill / hang / join / rejoin
+// churn. tests/test_distributed.cc, tests/test_distributed_faults.cc and
+// tests/test_elastic.cc EXPECT_EQ-assert it.
 #pragma once
 
 #include <chrono>
@@ -75,17 +77,12 @@ struct DistributedConfig {
   /// Re-execute a dead worker's shards on rank 0 (catch-up replay). When
   /// off, a dead worker aborts training loudly.
   bool adopt_dead_workers = true;
-  /// Elastic membership (see the header comment). Requires a
-  /// membership-capable transport on rank 0 (TcpTransport); workers
-  /// follow the assignment stream instead of deriving ranges from
-  /// (world_size, rank).
-  bool elastic = false;
   /// Worker-side fault-injection hook for churn tests: consulted at the
   /// ElasticChurnPoints of every tree. Null means kContinue.
   std::function<ElasticChurnAction(std::uint32_t tree, ElasticChurnPoint)>
       churn_hook;
-  /// Rank-0 hook fired at every elastic tree boundary *before* membership
-  /// is re-evaluated -- the churn harness uses it to launch late joiners.
+  /// Rank-0 hook fired at every tree boundary *before* membership is
+  /// re-evaluated -- the churn harness uses it to launch late joiners.
   std::function<void(std::uint32_t tree)> on_tree_boundary;
 };
 
@@ -94,16 +91,17 @@ struct DistributedStats {
   std::uint32_t world_size = 1;
   std::uint32_t rank = 0;
   std::uint32_t shards_total = 0;
-  std::uint32_t shards_local = 0;    // owned at start (rank's own range)
+  /// Rank 0: its tree-0 range; worker: its latest assigned range.
+  std::uint32_t shards_local = 0;
   std::uint32_t shards_adopted = 0;  // re-executed for dead workers (rank 0)
   std::uint32_t dead_workers = 0;
-  /// Elastic runs (rank 0): tree boundaries at which the live-member set
-  /// -- and with it the shard assignment -- changed after the initial one.
+  /// Rank 0: tree boundaries at which the live-member set -- and with it
+  /// the shard assignment -- changed after the initial one.
   std::uint32_t repartitions = 0;
-  /// Elastic runs (rank 0): workers admitted after training started.
+  /// Rank 0: workers admitted after training started.
   std::uint32_t joins = 0;
-  /// Elastic runs (worker): 1 when this worker lost its coordinator and
-  /// returned gracefully with whatever model prefix it had.
+  /// Worker: 1 when this worker lost its coordinator and returned
+  /// gracefully with whatever model prefix it had.
   std::uint32_t orphaned = 0;
   ipc::ReliableStats channel;
   ipc::TransportStats transport;
@@ -127,7 +125,8 @@ class DistributedTrainer {
   /// rank 0's driver loop (workers fill `info` and leave `trace` empty --
   /// the trace needs merge-side quantities only rank 0 has).
   /// TrainResult.hot_path.per_shard covers the shards this rank executed
-  /// (all of them on rank 0 of a single-rank world).
+  /// (all of them on rank 0 of a single-rank world). A worker that loses
+  /// rank 0 returns the model prefix it has, with stats().orphaned set.
   TrainResult train(const BinnedDataset& data,
                     trace::StepTrace* trace = nullptr,
                     trace::WorkloadInfo* info = nullptr);
@@ -136,15 +135,11 @@ class DistributedTrainer {
   const DistributedStats& stats() const { return stats_; }
 
  private:
-  TrainResult train_rank0(const BinnedDataset& data, trace::StepTrace* trace,
-                          trace::WorkloadInfo* info);
-  TrainResult train_worker(const BinnedDataset& data,
-                           trace::WorkloadInfo* info);
-  TrainResult train_rank0_elastic(const BinnedDataset& data,
-                                  trace::StepTrace* trace,
-                                  trace::WorkloadInfo* info);
-  TrainResult train_worker_elastic(const BinnedDataset& data,
-                                   trace::WorkloadInfo* info);
+  /// Rank 0: owns the membership view, merges, decides, broadcasts.
+  TrainResult coordinate(const BinnedDataset& data, trace::StepTrace* trace,
+                         trace::WorkloadInfo* info);
+  /// Worker: follows the catch-up / assignment / decision stream.
+  TrainResult follow(const BinnedDataset& data, trace::WorkloadInfo* info);
 
   DistributedConfig cfg_;
   ipc::Transport* transport_;
@@ -158,7 +153,8 @@ class DistributedTrainer {
 /// `all_stats` receives per-rank stats indexed by rank. The convenience
 /// harness behind the equivalence tests, bench_distributed, the scenario
 /// runner's runner.procs knob, and the multi_process example's loopback
-/// mode.
+/// mode. Aborts if any worker was orphaned: in one process, a lost
+/// coordinator means the world broke.
 TrainResult train_in_process(const DistributedConfig& cfg,
                              ipc::InProcessWorld& world,
                              const BinnedDataset& data,

@@ -63,13 +63,13 @@ enum class MessageType : std::uint8_t {
   /// live worker confirms, so a lost *tail* frame (the one message with
   /// no successor) still heals instead of stranding the worker.
   kGoodbye = 6,
-  /// Rank 0 -> worker (elastic): the worker's shard range for one tree
+  /// Rank 0 -> worker: the worker's shard range for one tree
   /// under the current membership view -- or, with final_assign set, the
   /// end-of-training signal.
   kShardAssign = 7,
-  /// Rank 0 -> joining worker (elastic): every finished tree plus its
-  /// per-tree loss, so a late joiner replays the model and enters the
-  /// protocol at the current boundary.
+  /// Rank 0 -> admitted worker: every finished tree plus its per-tree
+  /// loss, so a worker (at tree 0 or a late joiner) replays the model and
+  /// enters the protocol at the current boundary.
   kCatchUp = 8,
   /// Control (ReliableChannel): re-request of frames from a sequence
   /// number on. Never carries a data sequence number itself.
@@ -192,8 +192,8 @@ struct TreeVerdictMsg {
   bool early_stopped = false;
 };
 
-/// Rank 0 -> worker shard assignment for one tree boundary (elastic
-/// membership). With final_assign set, tree is one past the last trained
+/// Rank 0 -> worker shard assignment for one tree boundary (under the
+/// current membership view). With final_assign set, tree is one past the last trained
 /// tree, the range is empty, and early_stopped carries the run verdict --
 /// the worker's cue to send its goodbye and return.
 struct ShardAssignMsg {

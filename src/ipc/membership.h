@@ -1,4 +1,5 @@
-// Liveness and membership primitives for the elastic TCP world:
+// Liveness and membership primitives of the distributed trainer (the
+// TCP world is the one whose membership actually changes):
 //
 //   * BackoffPolicy -- capped exponential backoff with deterministic
 //     jitter for a worker's reconnect loop (jitter decorrelates workers

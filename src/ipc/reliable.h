@@ -124,7 +124,7 @@ class ReliableChannel {
   bool recv(std::uint32_t src, Frame* out, std::uint32_t attempts_override = 0);
 
   /// Forgets all per-peer protocol state for `rank` (tx window, sequence
-  /// numbers, parked frames): the elastic trainer's reset when a new
+  /// numbers, parked frames): the distributed trainer's reset when a new
   /// worker incarnation takes over the rank slot.
   void reset_peer(std::uint32_t rank);
 

@@ -16,7 +16,7 @@
 //     star around rank 0;
 //   * TcpTransport (tcp_transport.h) -- TCP star multiplexed on an epoll
 //     Poller, with reconnect/backoff, session nonces, and the membership
-//     surface (peer events) the elastic trainer consumes.
+//     surface (peer events) the distributed trainer consumes.
 #pragma once
 
 #include <chrono>
@@ -49,7 +49,7 @@ struct TransportStats {
 };
 
 /// Membership change observed by a connection-oriented transport.
-/// Consumed by the elastic trainer on rank 0 via take_peer_events().
+/// Consumed by the distributed trainer on rank 0 via take_peer_events().
 enum class PeerEventKind : std::uint8_t {
   kJoined = 0,   // first connection of this rank
   kResumed,      // reconnect presenting the same session nonce
@@ -84,7 +84,7 @@ class Transport {
                           std::chrono::milliseconds timeout) = 0;
 
   // --- membership surface (connection-oriented transports only) ---
-  // The elastic trainer drives these on rank 0; queue-backed transports
+  // The distributed trainer drives these on rank 0; queue-backed transports
   // keep the defaults (no membership: every rank is permanently
   // "connected" and no events ever fire).
 

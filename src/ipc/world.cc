@@ -104,6 +104,12 @@ Transport* InProcessWorld::endpoint(std::uint32_t rank) {
           tcp_port_ = t0->port();
         }
         tcp_port_cv_.notify_all();
+        // Block until every worker has connected, as the socket world
+        // does: rank 0's tree-0 membership view is the connected set, so
+        // an unassembled world would admit its workers a tree late.
+        BOOSTER_CHECK_MSG(
+            t0->wait_for_world(world_size_, std::chrono::seconds(30)),
+            "tcp world: workers never connected");
         t = std::move(t0);
       } else {
         std::uint16_t port = 0;

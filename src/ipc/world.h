@@ -47,9 +47,10 @@ class InProcessWorld {
   std::uint32_t world_size() const { return world_size_; }
   TransportKind transport_kind() const { return kind_; }
 
-  /// Rank `rank`'s endpoint. For socket worlds this *blocks* (rank 0
-  /// accepting, workers connecting), so every rank must call it from its
-  /// own thread concurrently -- exactly how the rank threads start up.
+  /// Rank `rank`'s endpoint. For socket and tcp worlds this *blocks*
+  /// (rank 0 until every worker connected, workers until connected), so
+  /// every rank must call it from its own thread concurrently -- exactly
+  /// how the rank threads start up.
   /// The returned transport is owned by the world; the per-rank fault
   /// stats can be read from it after the run.
   Transport* endpoint(std::uint32_t rank);

@@ -714,7 +714,7 @@ std::optional<ScenarioResult> ScenarioRunner::run(const ScenarioSpec& spec,
         // Determinism gate: every refreshed generation must be
         // bit-identical when the same chunk sequence retrains with more
         // threads and shards.
-        for (const auto [vthreads, vshards] :
+        for (const auto& [vthreads, vshards] :
              {std::pair<std::uint32_t, std::uint32_t>{1, 3},
               std::pair<std::uint32_t, std::uint32_t>{8, 1},
               std::pair<std::uint32_t, std::uint32_t>{8, 3}}) {

@@ -52,7 +52,6 @@ WorkloadResult run_workload(const DatasetSpec& spec, RunnerConfig cfg) {
                         "RunnerConfig.churn: unparseable schedule");
       gbdt::ElasticWorldConfig ecfg;
       ecfg.dist = dcfg;
-      ecfg.dist.elastic = true;
       ecfg.dist.channel.recv_timeout = std::chrono::milliseconds(25);
       ecfg.dist.channel.liveness_timeout = std::chrono::milliseconds(500);
       ecfg.dist.channel.heartbeat_interval = std::chrono::milliseconds(50);

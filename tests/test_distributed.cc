@@ -19,6 +19,7 @@
 
 #include "gbdt/binning.h"
 #include "gbdt/distributed.h"
+#include "gbdt/shard_ops.h"
 #include "gbdt/sharded.h"
 #include "gbdt/trainer.h"
 #include "ipc/world.h"
@@ -93,6 +94,24 @@ void expect_results_bit_identical(const TrainResult& got,
   }
 }
 
+/// Every rank entered at tree 0 and kept its range: no late admission and
+/// no regrouping on rank 0, and every worker that owns shards under the
+/// full-world split built them itself.
+void expect_assembled_at_tree_zero(const std::vector<DistributedStats>& stats,
+                                   std::uint32_t shards,
+                                   const std::string& context) {
+  ASSERT_FALSE(stats.empty()) << context;
+  EXPECT_EQ(stats[0].joins, 0u) << context;
+  EXPECT_EQ(stats[0].repartitions, 0u) << context;
+  const auto world = static_cast<std::uint32_t>(stats.size());
+  for (std::uint32_t r = 1; r < world; ++r) {
+    const auto [begin, end] = shard_row_range(shards, world, r);
+    if (end > begin) {
+      EXPECT_GT(stats[r].shards_local, 0u) << context << " rank " << r;
+    }
+  }
+}
+
 TEST(DistributedEquivalence, BitIdenticalAcrossTransportsProcsShardsThreads) {
   // n = 3001 is divisible by none of the tested shard counts, so shard
   // (and rank) boundaries are uneven everywhere.
@@ -112,7 +131,9 @@ TEST(DistributedEquivalence, BitIdenticalAcrossTransportsProcsShardsThreads) {
           cfg.trainer.num_shards = shards;
           cfg.trainer.num_threads = threads;
           ipc::InProcessWorld world(kind, procs);
-          const auto got = train_in_process(cfg, world, data);
+          std::vector<DistributedStats> stats;
+          const auto got = train_in_process(cfg, world, data, nullptr,
+                                            nullptr, nullptr, &stats);
           const std::string context =
               std::string(ipc::transport_kind_name(kind)) + " / " +
               std::to_string(procs) + " procs / " + std::to_string(shards) +
@@ -120,6 +141,7 @@ TEST(DistributedEquivalence, BitIdenticalAcrossTransportsProcsShardsThreads) {
           expect_results_bit_identical(got, ref, data, context);
           EXPECT_EQ(got.hot_path.shards, shards) << context;
           EXPECT_EQ(got.hot_path.threads, threads) << context;
+          expect_assembled_at_tree_zero(stats, shards, context);
         }
       }
     }
@@ -159,6 +181,7 @@ TEST(DistributedEquivalence, EveryRankReturnsTheSameModel) {
   for (const auto& s : stats) total_local += s.shards_local;
   EXPECT_EQ(total_local, 5u);
   EXPECT_EQ(stats[0].dead_workers, 0u);
+  expect_assembled_at_tree_zero(stats, 5, "3 loopback ranks");
   EXPECT_GT(stats[0].channel.messages_received, 0u);
   EXPECT_GT(stats[1].channel.messages_sent, 0u);
 }
@@ -237,6 +260,30 @@ TEST(DistributedEquivalence, EarlyStoppingDecisionsPropagate) {
   ASSERT_EQ(workers.size(), 1u);
   EXPECT_EQ(workers[0].early_stopped, ref.early_stopped);
   EXPECT_EQ(workers[0].model.num_trees(), ref.model.num_trees());
+}
+
+TEST(DistributedEquivalence, WarmStartReachesEveryRankThroughCatchUp) {
+  // Workers get the init trees in their admission catch-up, not from their
+  // own config; they must count them exactly as Trainer does.
+  const auto data = random_binned(2001, 59);
+  const auto init = Trainer(base_config(2)).train(data);
+  TrainerConfig tcfg = base_config(3);
+  tcfg.init_model = &init.model;
+  const auto ref = Trainer(tcfg).train(data);
+
+  DistributedConfig cfg;
+  cfg.trainer = tcfg;
+  cfg.trainer.num_shards = 4;
+  ipc::InProcessWorld world(ipc::TransportKind::kLoopback, 3);
+  std::vector<TrainResult> workers;
+  const auto got =
+      train_in_process(cfg, world, data, nullptr, nullptr, &workers);
+  expect_results_bit_identical(got, ref, data, "warm start rank 0");
+  ASSERT_EQ(workers.size(), 2u);
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    expect_results_bit_identical(workers[w], ref, data,
+                                 "warm start worker " + std::to_string(w + 1));
+  }
 }
 
 TEST(DistributedEquivalence, ShardedTrainerDelegatesToSingleRankWorld) {

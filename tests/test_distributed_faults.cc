@@ -5,9 +5,10 @@
 // in-process gbdt::Trainer (EXPECT_EQ, no tolerances): the retry protocol
 // may resend, re-request, and re-execute, but it may never change a bit.
 // Unrecoverable situations (a dead worker with shard adoption disabled,
-// a worker cut off from its coordinator) must fail loudly -- death tests
-// pin the abort -- because the one unacceptable outcome is silent
-// divergence.
+// an in-process world whose worker is cut off from its coordinator) must
+// fail loudly -- death tests pin the abort -- because the one unacceptable
+// outcome is silent divergence. A lone worker that loses its coordinator
+// returns gracefully, flagged orphaned, with no model to diverge.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -212,6 +213,24 @@ TEST_F(DistributedFaults, AdoptsShardsOfAWorkerThatNeverAppears) {
   EXPECT_GT(trainer.stats().shards_adopted, 0u);
   EXPECT_EQ(trainer.stats().shards_local + trainer.stats().shards_adopted,
             3u);
+}
+
+TEST_F(DistributedFaults, WorkerWhoseCoordinatorNeverAppearsIsOrphaned) {
+  // World of 2 ranks, but rank 0 never starts: the worker waits out its
+  // attempt budget for the admission catch-up and returns gracefully with
+  // an empty model instead of hanging or aborting.
+  ipc::LoopbackHub hub(2);
+  auto endpoint = hub.endpoint(1);
+  DistributedConfig cfg;
+  cfg.trainer = base_config();
+  cfg.trainer.num_shards = 3;
+  cfg.channel.recv_timeout = std::chrono::milliseconds(5);
+  cfg.channel.max_attempts = 3;
+  DistributedTrainer trainer(cfg, endpoint.get());
+  const auto got = trainer.train(data_);
+  EXPECT_EQ(trainer.stats().orphaned, 1u);
+  EXPECT_EQ(got.model.num_trees(), 0u);
+  EXPECT_TRUE(got.tree_stats.empty());
 }
 
 /// Forwards faithfully until `sends_before_death` frames went out, then

@@ -298,7 +298,6 @@ TEST(ElasticTcp, SigkilledRealProcessIsSurvivedBitIdentically) {
     dist.channel.recv_timeout = 25ms;
     dist.channel.liveness_timeout = 400ms;
     dist.channel.heartbeat_interval = 50ms;
-    dist.elastic = true;
     dist.churn_hook = [](std::uint32_t tree, ElasticChurnPoint point) {
       if (tree == 1 && point == ElasticChurnPoint::kAfterFirstBuild) {
         ::raise(SIGKILL);
@@ -316,7 +315,6 @@ TEST(ElasticTcp, SigkilledRealProcessIsSurvivedBitIdentically) {
   d0.channel.recv_timeout = 25ms;
   d0.channel.liveness_timeout = 400ms;
   d0.channel.heartbeat_interval = 50ms;
-  d0.elastic = true;
   DistributedTrainer rank0(d0, listener.get());
   const auto got = rank0.train(data);
 
