@@ -1,12 +1,11 @@
 // Cross-process sharded training, for real: forks worker *processes* and
-// trains one ensemble over a pluggable histogram transport, then proves
-// the result bit-identical to the in-process gbdt::Trainer. This is the
-// end-to-end demonstration of the distributed stack -- every shard
-// histogram, split decision, and finished tree crosses a real process
-// boundary (spool files or an AF_UNIX socket) through the checksummed
-// wire format and the retry protocol.
+// trains one ensemble over localhost TCP, then proves the result
+// bit-identical to the in-process gbdt::Trainer. This is the end-to-end
+// demonstration of the distributed stack -- every shard histogram, split
+// decision, and finished tree crosses a real process boundary through the
+// checksummed wire format and the retry protocol.
 //
-//   ./build/multi_process [--transport file|socket|loopback|tcp]
+//   ./build/multi_process [--transport tcp|loopback] (default tcp)
 //                         [--procs N] [--shards K] [--threads T]
 //                         [--records N] [--trees N] [--kill-rejoin]
 //                         [--die-rank R] [--die-tree T] [--rejoin-tree T]
@@ -16,19 +15,18 @@
 // through gbdt::DistributedTrainer, and independently verifies its copy of
 // the model against a local single-process reference -- so a divergence
 // *anywhere* in the world makes the example exit non-zero, which is what
-// scripts/check.sh keys off. --transport loopback runs the ranks as
-// threads instead (same protocol, no fork), which is the variant the
-// sanitizer CI leg executes.
+// scripts/check.sh keys off. --transport loopback (or --procs 1) runs the
+// ranks as threads instead (same protocol, no fork), which is the variant
+// the sanitizer CI leg executes.
 //
-// --transport tcp runs the world over real localhost TCP: rank 0 listens
-// on an ephemeral port and, as in every world, recomputes the shard
-// assignment at tree boundaries from live membership -- which TCP, unlike
-// the other transports, reports as it changes. With --kill-rejoin, worker
-// --die-rank SIGKILLs itself mid-tree at --die-tree (rank 0 adopts its
-// shards), and a fresh incarnation of the same rank connects at
-// --rejoin-tree (admitted with a catch-up replay) -- the survivors, the
-// rejoiner, and rank 0 all still verify bit-identical to the
-// single-process trainer. This is the worker-churn demonstration
+// Over tcp, rank 0 listens on an ephemeral port and, as in every world,
+// recomputes the shard assignment at tree boundaries from live
+// membership -- which TCP, unlike loopback, reports as it changes. With
+// --kill-rejoin, worker --die-rank SIGKILLs itself mid-tree at --die-tree
+// (rank 0 adopts its shards), and a fresh incarnation of the same rank
+// connects at --rejoin-tree (admitted with a catch-up replay) -- the
+// survivors, the rejoiner, and rank 0 all still verify bit-identical to
+// the single-process trainer. This is the worker-churn demonstration
 // scripts/check.sh runs.
 #include <sys/wait.h>
 #include <unistd.h>
@@ -38,14 +36,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 
 #include "gbdt/binning.h"
 #include "gbdt/distributed.h"
 #include "gbdt/trainer.h"
-#include "ipc/file_transport.h"
-#include "ipc/socket_transport.h"
 #include "ipc/tcp_transport.h"
 #include "ipc/world.h"
 #include "workloads/spec.h"
@@ -56,7 +51,7 @@ namespace {
 using namespace booster;
 
 struct Args {
-  ipc::TransportKind transport = ipc::TransportKind::kFile;
+  ipc::TransportKind transport = ipc::TransportKind::kTcp;
   std::uint32_t procs = 3;
   std::uint32_t shards = 8;
   unsigned threads = 2;
@@ -80,8 +75,7 @@ Args parse(int argc, char** argv) {
     if (std::strcmp(argv[i], "--transport") == 0) {
       const auto kind = ipc::transport_kind_from_name(next());
       if (!kind) {
-        std::fprintf(stderr,
-                     "unknown transport (loopback|file|socket|tcp)\n");
+        std::fprintf(stderr, "unknown transport (tcp|loopback)\n");
         std::exit(2);
       }
       a.transport = *kind;
@@ -180,49 +174,6 @@ gbdt::DistributedConfig make_config(const Args& args) {
   cfg.trainer.num_shards = args.shards;
   cfg.trainer.num_threads = args.threads;
   return cfg;
-}
-
-/// One rank's whole life: build data, assemble the transport, train,
-/// verify. Returns the process exit code.
-int run_rank(const Args& args, const std::string& path, std::uint32_t rank) {
-  const auto data = make_data(args);
-  const auto ref = gbdt::Trainer(make_config(args).trainer).train(data);
-
-  std::unique_ptr<ipc::Transport> transport;
-  if (args.procs > 1) {
-    if (args.transport == ipc::TransportKind::kFile) {
-      transport = std::make_unique<ipc::FileTransport>(path, args.procs, rank);
-    } else if (rank == 0) {
-      transport = ipc::SocketTransport::serve(path, args.procs);
-    } else {
-      transport = ipc::SocketTransport::connect(path, args.procs, rank);
-    }
-    if (transport == nullptr) {
-      std::fprintf(stderr, "[rank %u] transport failed to assemble\n", rank);
-      return 1;
-    }
-  }
-
-  gbdt::DistributedTrainer trainer(make_config(args), transport.get());
-  const auto got = trainer.train(data);
-  if (!verify(got, ref, data, rank)) return 1;
-
-  if (rank == 0) {
-    const auto& st = trainer.stats();
-    std::printf(
-        "multi_process OK: transport=%s procs=%u shards=%u threads=%u "
-        "records=%llu trees=%u\n"
-        "  rank0: shards_local=%u adopted=%u dead_workers=%u "
-        "msgs_rx=%llu retransmits=%llu bytes_rx=%llu\n"
-        "  bit-identical to in-process Trainer on every rank\n",
-        ipc::transport_kind_name(args.transport), args.procs, args.shards,
-        args.threads, static_cast<unsigned long long>(args.records),
-        args.trees, st.shards_local, st.shards_adopted, st.dead_workers,
-        static_cast<unsigned long long>(st.channel.messages_received),
-        static_cast<unsigned long long>(st.channel.retransmits),
-        static_cast<unsigned long long>(st.transport.bytes_received));
-  }
-  return 0;
 }
 
 /// TCP-world timing: production defaults are 10s windows; the demo tightens
@@ -421,54 +372,18 @@ int run_tcp(const Args& args) {
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
 
-  if (args.transport == ipc::TransportKind::kTcp) {
-    if (args.procs < 2) {
-      std::fprintf(stderr, "--transport tcp needs --procs >= 2\n");
-      return 2;
-    }
+  if (args.transport == ipc::TransportKind::kTcp && args.procs > 1) {
     return run_tcp(args);
   }
 
-  if (args.transport == ipc::TransportKind::kLoopback || args.procs == 1) {
-    // Threads-as-ranks (the sanitizer leg): same protocol, no fork.
-    const auto data = make_data(args);
-    const auto ref = gbdt::Trainer(make_config(args).trainer).train(data);
-    ipc::InProcessWorld world(ipc::TransportKind::kLoopback, args.procs);
-    const auto got = gbdt::train_in_process(make_config(args), world, data);
-    if (!verify(got, ref, data, 0)) return 1;
-    std::printf("multi_process OK: transport=loopback(threads) procs=%u "
-                "shards=%u -- bit-identical to in-process Trainer\n",
-                args.procs, args.shards);
-    return 0;
-  }
-
-  const std::string path = ipc::unique_ipc_path(
-      args.transport == ipc::TransportKind::kFile ? "mp-spool" : "mp-sock");
-
-  // Fork the worker ranks *before* any thread exists in this process.
-  std::vector<pid_t> children;
-  for (std::uint32_t rank = 1; rank < args.procs; ++rank) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::perror("fork");
-      return 1;
-    }
-    if (pid == 0) {
-      std::exit(run_rank(args, path, rank));
-    }
-    children.push_back(pid);
-  }
-
-  int status = run_rank(args, path, /*rank=*/0);
-  for (const pid_t pid : children) {
-    int child_status = 0;
-    if (::waitpid(pid, &child_status, 0) < 0 ||
-        !WIFEXITED(child_status) || WEXITSTATUS(child_status) != 0) {
-      std::fprintf(stderr, "worker process %d failed\n", pid);
-      status = 1;
-    }
-  }
-  std::error_code ec;  // scratch cleanup is best effort
-  std::filesystem::remove_all(path, ec);
-  return status;
+  // Threads-as-ranks (the sanitizer leg): same protocol, no fork.
+  const auto data = make_data(args);
+  const auto ref = gbdt::Trainer(make_config(args).trainer).train(data);
+  ipc::InProcessWorld world(ipc::TransportKind::kLoopback, args.procs);
+  const auto got = gbdt::train_in_process(make_config(args), world, data);
+  if (!verify(got, ref, data, 0)) return 1;
+  std::printf("multi_process OK: transport=loopback(threads) procs=%u "
+              "shards=%u -- bit-identical to in-process Trainer\n",
+              args.procs, args.shards);
+  return 0;
 }

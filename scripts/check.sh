@@ -120,23 +120,18 @@ done
 # sharded engine (runner.shards) before the perf sweep.
 "$BUILD_DIR/booster_scenarios" run-builtin dse_shard_sweep --quick > /dev/null
 
-# Cross-process leg: the multi_process example forks
-# real worker processes over the file and socket transports and exits
-# non-zero if any rank's model diverges by a bit from the in-process
-# trainer.
-"$BUILD_DIR/multi_process" --transport file --procs 3 --shards 8 \
-  --records 8000 --trees 4
-"$BUILD_DIR/multi_process" --transport socket --procs 4 --shards 3 \
-  --records 8000 --trees 4
-
-# TCP leg: real worker processes over localhost TCP, through the same
-# membership protocol every world runs -- first a world whose membership
-# never changes after it assembles, then the churn flow: one worker
-# SIGKILLs itself mid-tree (rank 0 adopts its shards) and a fresh
-# incarnation of the same rank rejoins two boundaries later with a
-# catch-up replay. Both runs exit non-zero unless every surviving rank's
-# model is bit-identical to the in-process trainer.
+# Cross-process leg: the multi_process example forks real worker
+# processes over localhost TCP, through the same membership protocol
+# every world runs -- first a world whose membership never changes after
+# it assembles, then one with more ranks than shards (4 procs, 3 shards:
+# one forked rank owns no shard and only follows the stream), then the
+# churn flow: one worker SIGKILLs itself mid-tree (rank 0 adopts its
+# shards) and a fresh incarnation of the same rank rejoins two boundaries
+# later with a catch-up replay. Every run exits non-zero unless every
+# surviving rank's model is bit-identical to the in-process trainer.
 "$BUILD_DIR/multi_process" --transport tcp --procs 3 --shards 8 \
+  --records 8000 --trees 4
+"$BUILD_DIR/multi_process" --transport tcp --procs 4 --shards 3 \
   --records 8000 --trees 4
 "$BUILD_DIR/multi_process" --transport tcp --procs 3 --shards 8 \
   --records 8000 --trees 6 --kill-rejoin --die-rank 2 --die-tree 1 \

@@ -131,12 +131,22 @@ std::unique_ptr<ShardGroup> caught_up_group(
   return group;
 }
 
-/// Adds a group's per-shard pool and arena counters to `hot`.
-void add_group_stats(const ShardGroup& group, HotPathStats* hot) {
+/// Adds a group's run-wide counters (pool acquires and allocations, chunk
+/// merges) to `hot`. A group replaced at a tree boundary goes through this
+/// before it is destroyed, so the totals cover every tree of the run.
+void add_group_totals(const ShardGroup& group, HotPathStats* hot) {
   hot->chunk_merges += group.internal_merges();
   for (const ShardHotPathStats& ss : group.shard_stats()) {
     hot->histogram_allocations += ss.histogram_allocations;
     hot->histogram_acquires += ss.histogram_acquires;
+  }
+}
+
+/// Adds a group alive at the end of the run: its totals plus its arena
+/// footprint and per-shard entries.
+void add_group_stats(const ShardGroup& group, HotPathStats* hot) {
+  add_group_totals(group, hot);
+  for (const ShardHotPathStats& ss : group.shard_stats()) {
     hot->arena_bytes += ss.arena_bytes;
     hot->per_shard.push_back(ss);
   }
@@ -304,6 +314,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
     const auto [b0, e0] = members.assignment(num_shards, 0);
     if (groups.size() != 1 || groups[0]->shard_begin() != b0 ||
         groups[0]->shard_end() != e0) {
+      for (const auto& g : groups) add_group_totals(*g, &result.hot_path);
       groups.clear();
       groups.push_back(caught_up_group(data, tcfg, num_shards, b0, e0, &pool,
                                        *loss, base_score, result.model));
@@ -776,9 +787,9 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
   result.hot_path.simd = util::simd::level_name(util::simd::active());
   result.hot_path.shards = num_shards;
   result.hot_path.histogram_merges = driver_merges;
-  result.hot_path.histogram_allocations =
+  result.hot_path.histogram_allocations +=
       merged_pool.allocations() + rx_pool.allocations();
-  result.hot_path.histogram_acquires =
+  result.hot_path.histogram_acquires +=
       merged_pool.acquires() + rx_pool.acquires();
   // Per-shard stats in global shard order over the shards this rank
   // executed (every shard on a single-rank world).
@@ -919,6 +930,7 @@ TrainResult DistributedTrainer::follow(const BinnedDataset& data,
 
     if (group == nullptr || assign.shard_begin != group->shard_begin() ||
         assign.shard_end != group->shard_end()) {
+      if (group != nullptr) add_group_totals(*group, &result.hot_path);
       group = caught_up_group(data, tcfg, num_shards, assign.shard_begin,
                               assign.shard_end, &pool, *loss, base_score,
                               result.model);

@@ -23,14 +23,14 @@
 //     trees plus the current tree's decision log), and the next boundary
 //     drops it from the view.
 //
-// Membership comes from the transport. Transports without membership
-// events (loopback, file, socket, and fault-wrapped ones) report every
-// rank connected, so their whole world enters at tree 0 and changes only
-// through adoption: a static world is the case whose membership never
-// changes. TCP also reports late joins and new sessions (a rank that died
-// and came back), which rank 0 admits at the next boundary. With no
-// transport at all (nullptr) the trainer is a single-rank world -- the
-// engine ShardedTrainer delegates to.
+// Membership comes from the transport. Loopback (fault-wrapped or not)
+// has no membership events and reports every rank connected, so its
+// whole world enters at tree 0 and changes only through adoption: a
+// static world is the case whose membership never changes. TCP also
+// reports late joins and new sessions (a rank that died and came back),
+// which rank 0 admits at the next boundary. With no transport at all
+// (nullptr) the trainer is a single-rank world -- the engine
+// ShardedTrainer delegates to.
 //
 // Because the shard merge is quantized-exact and the per-shard partition
 // is stable, every regrouping is a pure recomputation: the trained

@@ -5,9 +5,9 @@
 //   * rank 0 listens (127.0.0.1 by default; any interface on request)
 //     and accepts workers at *any* time, not just at startup -- the
 //     distributed trainer admits late joiners at tree boundaries;
-//   * every connection is non-blocking with TCP_NODELAY; frames use the
-//     same 4-byte little-endian length prefix as the socket/file
-//     transports, clamped at kMaxFrameBytes before any allocation;
+//   * every connection is non-blocking with TCP_NODELAY; each frame
+//     carries a 4-byte little-endian length prefix, clamped at
+//     kMaxFrameBytes before any allocation;
 //   * each peer has a bounded send buffer (byte cap): sends flush
 //     opportunistically, a frame that would overflow the cap is dropped
 //     and counted -- backpressure against a non-draining peer instead of

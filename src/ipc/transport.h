@@ -7,16 +7,14 @@
 // (ipc::ReliableChannel), which is what lets ipc::FaultyTransport inject
 // exactly those faults underneath an unchanged protocol.
 //
-// Implementations (one writer per directed channel, as the ROADMAP's
-// cross-process follow-on prescribes):
-//   * LoopbackTransport (loopback.h) -- in-memory queues, threads-as-ranks;
-//   * FileTransport (file_transport.h) -- one append-only spool file per
-//     directed pair, readable across processes;
-//   * SocketTransport (socket_transport.h) -- AF_UNIX stream sockets in a
-//     star around rank 0;
+// Two implementations (one writer per directed channel):
+//   * LoopbackTransport (loopback.h) -- in-memory queues, threads as
+//     ranks; the transport of the sanitizer legs;
 //   * TcpTransport (tcp_transport.h) -- TCP star multiplexed on an epoll
 //     Poller, with reconnect/backoff, session nonces, and the membership
-//     surface (peer events) the distributed trainer consumes.
+//     surface (peer events) the distributed trainer consumes; the
+//     transport of real processes and of worker churn.
+// ipc::FaultyTransport wraps either one.
 #pragma once
 
 #include <chrono>
@@ -27,9 +25,9 @@
 namespace booster::ipc {
 
 /// Upper bound on one transport frame: the codec's maximum payload plus
-/// header slack. Length-prefixed transports (file, socket) reject a
-/// larger prefix *before* allocating -- a corrupted spool or desynced
-/// stream must surface as a closed channel, not a multi-gigabyte resize.
+/// header slack. TCP rejects a larger length prefix *before* allocating
+/// -- a desynced or hostile stream must surface as a closed channel, not a
+/// multi-gigabyte resize.
 inline constexpr std::size_t kMaxFrameBytes = (1u << 28) + 256;
 
 enum class RecvStatus : std::uint8_t {
@@ -69,7 +67,7 @@ class Transport {
 
   virtual std::uint32_t world_size() const = 0;
   virtual std::uint32_t rank() const = 0;
-  /// Transport kind for logs/benches ("loopback", "file", "socket", ...).
+  /// Transport kind for logs/benches ("loopback", "tcp", ...).
   virtual const char* kind() const = 0;
 
   /// Sends one frame to rank `dst`. Returns false when the transport

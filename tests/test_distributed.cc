@@ -119,8 +119,6 @@ TEST(DistributedEquivalence, BitIdenticalAcrossTransportsProcsShardsThreads) {
   const auto ref = Trainer(base_config()).train(data);
 
   const ipc::TransportKind kinds[] = {ipc::TransportKind::kLoopback,
-                                      ipc::TransportKind::kFile,
-                                      ipc::TransportKind::kSocket,
                                       ipc::TransportKind::kTcp};
   for (const auto kind : kinds) {
     for (const std::uint32_t procs : {1u, 2u, 4u}) {

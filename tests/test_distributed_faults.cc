@@ -213,6 +213,12 @@ TEST_F(DistributedFaults, AdoptsShardsOfAWorkerThatNeverAppears) {
   EXPECT_GT(trainer.stats().shards_adopted, 0u);
   EXPECT_EQ(trainer.stats().shards_local + trainer.stats().shards_adopted,
             3u);
+  // Rank 0 regrouped at tree 1 (its own range plus the adopted one); the
+  // retired groups' pool counters still count, so the histogram traffic
+  // covers all three trees, as in a single-rank world.
+  const auto single = DistributedTrainer(cfg, nullptr).train(data_);
+  EXPECT_EQ(got.hot_path.histogram_acquires,
+            single.hot_path.histogram_acquires);
 }
 
 TEST_F(DistributedFaults, WorkerWhoseCoordinatorNeverAppearsIsOrphaned) {

@@ -1,22 +1,22 @@
 // Transport-contract tests for the src/ipc layer: every Transport must
 // deliver frames point-to-point, intact, FIFO per directed pair, with a
 // bounded-timeout recv -- the exact (and only) guarantees the reliable
-// channel builds on. The same assertions run against all three
-// implementations (loopback queues, spool files, AF_UNIX sockets), plus
-// unit tests of ReliableChannel's retry machinery over a deterministic
+// channel builds on. The same assertions run against both
+// implementations (loopback queues, a localhost TCP star), plus unit
+// tests of ReliableChannel's retry machinery over a deterministic
 // FaultyTransport.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "ipc/codec.h"
 #include "ipc/faulty.h"
-#include "ipc/file_transport.h"
 #include "ipc/loopback.h"
 #include "ipc/reliable.h"
-#include "ipc/socket_transport.h"
+#include "ipc/tcp_transport.h"
 #include "ipc/world.h"
 
 namespace booster::ipc {
@@ -24,6 +24,24 @@ namespace {
 
 std::vector<std::uint8_t> frame_of(std::initializer_list<std::uint8_t> b) {
   return std::vector<std::uint8_t>(b);
+}
+
+/// `to.recv(from)` while giving `from` event-loop turns: one thread drives
+/// both endpoints here, and a TCP sender flushes what the kernel did not
+/// take at send() only when pumped (pump is a no-op on loopback).
+RecvStatus recv_from(Transport& to, Transport& from,
+                     std::vector<std::uint8_t>* frame) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
+  for (;;) {
+    from.pump(std::chrono::milliseconds(0));
+    const RecvStatus status =
+        to.recv(from.rank(), frame, std::chrono::milliseconds(10));
+    if (status != RecvStatus::kTimeout ||
+        std::chrono::steady_clock::now() >= deadline) {
+      return status;
+    }
+  }
 }
 
 /// The shared contract: FIFO per pair, payload integrity, timeout on an
@@ -41,22 +59,18 @@ void exercise_pair(Transport& a, Transport& b) {
   EXPECT_TRUE(a.send(b.rank(), big));
 
   std::vector<std::uint8_t> got;
-  ASSERT_EQ(b.recv(a.rank(), &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
+  ASSERT_EQ(recv_from(b, a, &got), RecvStatus::kOk);
   EXPECT_EQ(got, f1);
-  ASSERT_EQ(b.recv(a.rank(), &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
+  ASSERT_EQ(recv_from(b, a, &got), RecvStatus::kOk);
   EXPECT_EQ(got, f2);
-  // A frame bigger than any internal buffer arrives intact (the socket
+  // A frame bigger than any internal buffer arrives intact (the TCP
   // transport must reassemble it across reads).
-  ASSERT_EQ(b.recv(a.rank(), &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
+  ASSERT_EQ(recv_from(b, a, &got), RecvStatus::kOk);
   EXPECT_EQ(got, big);
 
   // The reverse direction is independent.
   EXPECT_TRUE(b.send(a.rank(), f2));
-  ASSERT_EQ(a.recv(b.rank(), &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
+  ASSERT_EQ(recv_from(a, b, &got), RecvStatus::kOk);
   EXPECT_EQ(got, f2);
 
   // Empty channel: bounded timeout, no frame.
@@ -79,71 +93,58 @@ TEST(IpcTransport, LoopbackDeliversFifoIntactWithTimeout) {
   EXPECT_FALSE(t0->send(7, frame_of({1})));
 }
 
-TEST(IpcTransport, FileSpoolDeliversFifoIntactWithTimeout) {
-  const std::string dir = unique_ipc_path("spool-test");
-  FileTransport t0(dir, 2, 0);
-  FileTransport t1(dir, 2, 1);
-  exercise_pair(t0, t1);
-}
-
-TEST(IpcTransport, FileSpoolReaderMayStartBeforeWriter) {
-  const std::string dir = unique_ipc_path("spool-late");
-  FileTransport reader(dir, 2, 1);
-  std::vector<std::uint8_t> got;
-  // Nothing spooled yet -- not even the file exists.
-  EXPECT_EQ(reader.recv(0, &got, std::chrono::milliseconds(5)),
-            RecvStatus::kTimeout);
-  std::thread writer_thread([&] {
-    FileTransport writer(dir, 2, 0);
-    writer.send(1, frame_of({9, 8, 7}));
+/// Worker `rank` of a TCP star around `rank0`. connect() completes a
+/// hello/ack handshake, so the coordinator pumps while it runs.
+std::unique_ptr<TcpTransport> connect_worker(TcpTransport* rank0,
+                                             std::uint32_t rank,
+                                             TcpOptions opts = {}) {
+  std::unique_ptr<TcpTransport> out;
+  std::atomic<bool> done{false};
+  std::thread th([&] {
+    out = TcpTransport::connect("127.0.0.1", rank0->port(),
+                                rank0->world_size(), rank, opts);
+    done.store(true);
   });
-  EXPECT_EQ(reader.recv(0, &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
-  EXPECT_EQ(got, frame_of({9, 8, 7}));
-  writer_thread.join();
+  while (!done.load()) rank0->pump(std::chrono::milliseconds(5));
+  th.join();
+  return out;
 }
 
-TEST(IpcTransport, SocketStarDeliversFifoIntactWithTimeout) {
-  const std::string path = unique_ipc_path("sock-test");
-  std::unique_ptr<SocketTransport> server;
-  std::unique_ptr<SocketTransport> client;
-  std::thread server_thread([&] { server = SocketTransport::serve(path, 3); });
-  std::thread client_thread(
-      [&] { client = SocketTransport::connect(path, 3, 1); });
-  std::unique_ptr<SocketTransport> client2;
-  std::thread client2_thread(
-      [&] { client2 = SocketTransport::connect(path, 3, 2); });
-  server_thread.join();
-  client_thread.join();
-  client2_thread.join();
+TEST(IpcTransport, TcpStarDeliversFifoIntactWithTimeout) {
+  auto server = TcpTransport::listen("127.0.0.1", 0, 3);
   ASSERT_NE(server, nullptr);
+  std::vector<std::uint8_t> got;
+  // A worker that has not connected yet is slow, not gone: timeout.
+  EXPECT_EQ(server->recv(1, &got, std::chrono::milliseconds(5)),
+            RecvStatus::kTimeout);
+  auto client = connect_worker(server.get(), 1);
+  auto client2 = connect_worker(server.get(), 2);
   ASSERT_NE(client, nullptr);
   ASSERT_NE(client2, nullptr);
   exercise_pair(*server, *client);
-  // Star topology: worker-to-worker channels are unsupported by design.
-  EXPECT_FALSE(client->send(2, frame_of({1})));
-  std::vector<std::uint8_t> got;
+  // Star topology: there is no worker-to-worker channel.
   EXPECT_EQ(client->recv(2, &got, std::chrono::milliseconds(5)),
             RecvStatus::kClosed);
   // Rank 0 can talk to the second worker independently.
   EXPECT_TRUE(server->send(2, frame_of({5, 5})));
-  ASSERT_EQ(client2->recv(0, &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
+  ASSERT_EQ(recv_from(*client2, *server, &got), RecvStatus::kOk);
   EXPECT_EQ(got, frame_of({5, 5}));
 }
 
-TEST(IpcTransport, SocketPeerDisappearingReportsClosed) {
-  const std::string path = unique_ipc_path("sock-close");
-  std::unique_ptr<SocketTransport> server;
-  std::unique_ptr<SocketTransport> client;
-  std::thread server_thread([&] { server = SocketTransport::serve(path, 2); });
-  client = SocketTransport::connect(path, 2, 1);
-  server_thread.join();
+TEST(IpcTransport, TcpCoordinatorDisappearingReportsClosed) {
+  auto server = TcpTransport::listen("127.0.0.1", 0, 2);
   ASSERT_NE(server, nullptr);
+  TcpOptions opts;
+  opts.reconnect_window = std::chrono::milliseconds(100);
+  opts.backoff.base = std::chrono::milliseconds(5);
+  opts.backoff.cap = std::chrono::milliseconds(20);
+  auto client = connect_worker(server.get(), 1, opts);
   ASSERT_NE(client, nullptr);
   server.reset();  // coordinator goes away
+  // The worker retries its reconnect until the window lapses, then gives
+  // up for good.
   std::vector<std::uint8_t> got;
-  EXPECT_EQ(client->recv(0, &got, std::chrono::milliseconds(2000)),
+  EXPECT_EQ(client->recv(0, &got, std::chrono::milliseconds(5000)),
             RecvStatus::kClosed);
 }
 
@@ -245,13 +246,13 @@ TEST(IpcTransport, ReliableChannelPacesASlowSenderWithoutDesync) {
 }
 
 TEST(IpcTransport, TransportKindNamesRoundTrip) {
-  for (const auto kind :
-       {TransportKind::kLoopback, TransportKind::kFile, TransportKind::kSocket,
-        TransportKind::kTcp}) {
+  for (const auto kind : {TransportKind::kLoopback, TransportKind::kTcp}) {
     const auto parsed = transport_kind_from_name(transport_kind_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
+  EXPECT_FALSE(transport_kind_from_name("file").has_value());
+  EXPECT_FALSE(transport_kind_from_name("socket").has_value());
   EXPECT_FALSE(transport_kind_from_name("carrier-pigeon").has_value());
 }
 

@@ -469,19 +469,19 @@ TEST(ShardSweep, AxisAndRunnerShardsRoundTripThroughJson) {
 TEST(DistributedRunner, ProcsAndTransportRoundTripThroughJson) {
   auto spec = *builtin_scenario("dse_shard_sweep");
   spec.procs = 2;
-  spec.transport = "socket";
+  spec.transport = "tcp";
   const Json j = spec.to_json();
   const Json* runner = j.find("runner");
   ASSERT_NE(runner, nullptr);
   EXPECT_DOUBLE_EQ(runner->find("procs")->as_double(), 2.0);
-  EXPECT_EQ(runner->find("transport")->as_string(), "socket");
+  EXPECT_EQ(runner->find("transport")->as_string(), "tcp");
 
   std::string error;
   const auto reparsed = ScenarioSpec::from_json(j, &error);
   ASSERT_TRUE(reparsed.has_value()) << error;
   EXPECT_TRUE(*reparsed == spec);
   EXPECT_EQ(reparsed->procs, 2u);
-  EXPECT_EQ(reparsed->transport, "socket");
+  EXPECT_EQ(reparsed->transport, "tcp");
 
   // Defaults stay out of the serialized form (lossless minimal JSON).
   const auto defaults = *builtin_scenario("dse_shard_sweep");
@@ -494,7 +494,17 @@ TEST(DistributedRunner, ProcsAndTransportRoundTripThroughJson) {
   // The knobs reach the workload runner config.
   const auto rcfg = reparsed->runner_config(/*quick=*/false);
   EXPECT_EQ(rcfg.procs, 2u);
-  EXPECT_EQ(rcfg.transport, "socket");
+  EXPECT_EQ(rcfg.transport, "tcp");
+
+  // Any other transport name is a parse error that lists the valid ones.
+  for (const char* retired : {"socket", "file"}) {
+    spec.transport = retired;
+    error.clear();
+    EXPECT_FALSE(ScenarioSpec::from_json(spec.to_json(), &error).has_value())
+        << retired;
+    EXPECT_NE(error.find("expected loopback, tcp"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(DistributedRunner, ChurnRoundTripsAndIsValidated) {
@@ -569,6 +579,21 @@ TEST(DistributedRunner, ProcsLegTrainsBitIdenticallyToInProcess) {
               b.train.model.predict_raw(b.binned, r));
   }
   EXPECT_EQ(a.info.avg_leaf_depth, b.info.avg_leaf_depth);
+}
+
+TEST(DistributedRunner, RetiredTransportNamesAbortTheRunner) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  workloads::RunnerConfig cfg;
+  cfg.sim_records = 200;
+  cfg.sim_trees = 1;
+  cfg.procs = 2;
+  for (const char* retired : {"socket", "file"}) {
+    cfg.transport = retired;
+    EXPECT_DEATH(
+        (void)workloads::run_workload(workloads::fraud_spec(), cfg),
+        "one of: loopback, tcp")
+        << retired;
+  }
 }
 
 TEST(DistributedRunner, ChurnLegTrainsBitIdenticallyOverElasticTcp) {
