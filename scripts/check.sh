@@ -5,7 +5,7 @@
 # the concurrent subset (threaded rank worlds, TCP pump loops, thread
 # pool), then run the training hot-path and closed-loop benches in
 # Release, and finally the repository benchmark's tests and its dist-fraud
-# workload.
+# and serve-iot workloads.
 #
 #   scripts/check.sh [build-dir]
 #
@@ -183,10 +183,16 @@ BOOSTER_SIMD=scalar "$BUILD_DIR/test_stream" \
 # builds into run.py's own tree, runs its unit tests, then runs the
 # dist-fraud workload: two ranks over localhost TCP through the one
 # distributed protocol. run.py exits non-zero unless both ranks' models
-# are bit-identical to the in-process Trainer.
+# are bit-identical to the in-process Trainer. Then the serve-iot
+# workload: open-loop CSV /predict requests over real HTTP, whose gate
+# checks every served prediction bitwise against Model::predict -- the
+# numeric bin rule, the server's in-place row staging and its
+# prediction text format, end to end.
 PERF_DIR=.bench_build/perfbench
 cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$PERF_DIR" -j "$(nproc)" --target perfbench perfbench_tests
 "$PERF_DIR/perfbench_tests"
 python3 perfbench/run.py --workload dist-fraud --seed 1 --seconds 10 \
+  --trace 0
+python3 perfbench/run.py --workload serve-iot --seed 1 --seconds 10 \
   --trace 0

@@ -69,11 +69,23 @@ std::vector<float> quantile_bounds(std::vector<float> sample,
   return bounds;
 }
 
-/// Returns the 1-based value-bin index for v given sorted upper bounds:
-/// the first bin whose upper boundary is >= v (clamped to the last bin).
+/// Returns the 1-based value-bin index for v given sorted, non-empty upper
+/// bounds: the first bin whose upper boundary is >= v (clamped to the last
+/// bin). A branchless lower bound: the partition point lies in
+/// [base, base + n] throughout, each step halves n with an arithmetic
+/// select, and the trip count depends on bounds.size() alone, so the one
+/// branch left is the loop's, which predicts perfectly. Keep the select a
+/// multiply (see numeric_value_bin in binning.h for why).
 BinIndex numeric_bin(float v, const std::vector<float>& bounds) {
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds.begin());
+  const float* base = bounds.data();
+  std::size_t n = bounds.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base += static_cast<std::size_t>(base[half - 1] < v) * half;
+    n -= half;
+  }
+  base += static_cast<std::size_t>(*base < v);
+  const auto idx = static_cast<std::size_t>(base - bounds.data());
   const auto clamped = std::min(idx, bounds.size() - 1);
   return static_cast<BinIndex>(clamped + 1);  // +1: bin 0 is missing
 }

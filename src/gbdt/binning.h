@@ -54,8 +54,16 @@ struct FieldBins {
 /// field with no value bins) goes to missing bin 0; otherwise the first
 /// value bin whose upper boundary is >= v, clamped to the last bin. This
 /// is the *one* numeric binning rule -- the Binner uses it at training
-/// time and serve::RowBinner uses it per request, so a served row can
-/// never bin differently than training did.
+/// time, stream::FrozenBinMap per chunk and serve::RowBinner per request,
+/// so a served row can never bin differently than training did.
+///
+/// The search is branchless (same partition point as std::lower_bound for
+/// every non-NaN v, so the bins are too): each halving step advances by
+/// `std::size_t(bound < v) * half`. The multiply form matters -- GCC
+/// compiles it to seta/imul, whereas std::lower_bound and the
+/// `cond ? a : b` form compile to a data-dependent jump that mispredicts
+/// on about every other level, which made this rule most of the cost of
+/// binning a served row and of Binner::bin.
 BinIndex numeric_value_bin(float v, const FieldBins& fb);
 
 /// Same for a categorical value: kMissingCategory maps to bin 0, category

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -131,25 +133,47 @@ std::unique_ptr<ShardGroup> caught_up_group(
   return group;
 }
 
+/// Per-shard diagnostics by global shard index over every group this rank
+/// ran the shard in (ordered, so it emits in global shard order).
+using ShardLedger = std::map<std::uint32_t, ShardHotPathStats>;
+
 /// Adds a group's run-wide counters (pool acquires and allocations, chunk
-/// merges) to `hot`. A group replaced at a tree boundary goes through this
-/// before it is destroyed, so the totals cover every tree of the run.
-void add_group_totals(const ShardGroup& group, HotPathStats* hot) {
+/// merges) to `hot`, and each shard's acquires and allocations to its
+/// entry in `ledger`. A group replaced at a tree boundary goes through
+/// this before it is destroyed, so the totals and the per-shard entries
+/// cover every tree of the run.
+void add_group_totals(const ShardGroup& group, HotPathStats* hot,
+                      ShardLedger* ledger) {
   hot->chunk_merges += group.internal_merges();
-  for (const ShardHotPathStats& ss : group.shard_stats()) {
+  const std::vector<ShardHotPathStats> stats = group.shard_stats();
+  for (std::uint32_t i = 0; i < stats.size(); ++i) {
+    const ShardHotPathStats& ss = stats[i];
     hot->histogram_allocations += ss.histogram_allocations;
     hot->histogram_acquires += ss.histogram_acquires;
+    ShardHotPathStats& entry = (*ledger)[group.shard_begin() + i];
+    entry.rows = ss.rows;
+    entry.sub_chunks = ss.sub_chunks;
+    entry.histogram_allocations += ss.histogram_allocations;
+    entry.histogram_acquires += ss.histogram_acquires;
   }
 }
 
-/// Adds a group alive at the end of the run: its totals plus its arena
-/// footprint and per-shard entries.
-void add_group_stats(const ShardGroup& group, HotPathStats* hot) {
-  add_group_totals(group, hot);
-  for (const ShardHotPathStats& ss : group.shard_stats()) {
-    hot->arena_bytes += ss.arena_bytes;
-    hot->per_shard.push_back(ss);
+/// Adds the (non-null) groups alive at the end of the run -- their totals
+/// plus the arena footprint they still hold -- and emits `ledger` as
+/// hot->per_shard. A shard this rank gave away reports its counters with
+/// arena_bytes 0, so per_shard sums to the shard part of the totals.
+void add_final_stats(std::span<const std::unique_ptr<ShardGroup>> live,
+                     HotPathStats* hot, ShardLedger* ledger) {
+  for (const auto& group : live) {
+    if (group == nullptr) continue;
+    add_group_totals(*group, hot, ledger);
+    const std::vector<ShardHotPathStats> stats = group->shard_stats();
+    for (std::uint32_t i = 0; i < stats.size(); ++i) {
+      hot->arena_bytes += stats[i].arena_bytes;
+      (*ledger)[group->shard_begin() + i].arena_bytes = stats[i].arena_bytes;
+    }
   }
+  for (const auto& [shard, ss] : *ledger) hot->per_shard.push_back(ss);
 }
 
 }  // namespace
@@ -225,6 +249,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
   // tree start; mid-tree adoptions append temporaries that the next
   // boundary's rebuild retires.
   std::vector<std::unique_ptr<ShardGroup>> groups;
+  ShardLedger shard_ledger;
 
   HistogramPool merged_pool(data);
   HistogramPool rx_pool(data);
@@ -314,7 +339,9 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
     const auto [b0, e0] = members.assignment(num_shards, 0);
     if (groups.size() != 1 || groups[0]->shard_begin() != b0 ||
         groups[0]->shard_end() != e0) {
-      for (const auto& g : groups) add_group_totals(*g, &result.hot_path);
+      for (const auto& g : groups) {
+        add_group_totals(*g, &result.hot_path, &shard_ledger);
+      }
       groups.clear();
       groups.push_back(caught_up_group(data, tcfg, num_shards, b0, e0, &pool,
                                        *loss, base_score, result.model));
@@ -793,11 +820,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
       merged_pool.acquires() + rx_pool.acquires();
   // Per-shard stats in global shard order over the shards this rank
   // executed (every shard on a single-rank world).
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) {
-              return a->shard_begin() < b->shard_begin();
-            });
-  for (const auto& g : groups) add_group_stats(*g, &result.hot_path);
+  add_final_stats(groups, &result.hot_path, &shard_ledger);
   result.hot_path.row_major_matrix_bytes =
       RecordLayout::software_row_major_bytes(n, num_fields, sizeof(BinIndex));
 
@@ -827,6 +850,7 @@ TrainResult DistributedTrainer::follow(const BinnedDataset& data,
   double leaf_depth_sum = 0.0;
   std::uint64_t leaf_count = 0;
   std::unique_ptr<ShardGroup> group;
+  ShardLedger shard_ledger;
 
   const auto finalize = [&]() -> TrainResult {
     result.avg_leaf_depth =
@@ -835,7 +859,7 @@ TrainResult DistributedTrainer::follow(const BinnedDataset& data,
     result.hot_path.threads = pool.num_threads();
     result.hot_path.simd = util::simd::level_name(util::simd::active());
     result.hot_path.shards = num_shards;
-    if (group != nullptr) add_group_stats(*group, &result.hot_path);
+    add_final_stats(std::span(&group, 1), &result.hot_path, &shard_ledger);
     result.hot_path.row_major_matrix_bytes =
         RecordLayout::software_row_major_bytes(n, data.num_fields(),
                                                sizeof(BinIndex));
@@ -930,7 +954,9 @@ TrainResult DistributedTrainer::follow(const BinnedDataset& data,
 
     if (group == nullptr || assign.shard_begin != group->shard_begin() ||
         assign.shard_end != group->shard_end()) {
-      if (group != nullptr) add_group_totals(*group, &result.hot_path);
+      if (group != nullptr) {
+        add_group_totals(*group, &result.hot_path, &shard_ledger);
+      }
       group = caught_up_group(data, tcfg, num_shards, assign.shard_begin,
                               assign.shard_end, &pool, *loss, base_score,
                               result.model);

@@ -125,7 +125,9 @@ class DistributedTrainer {
   /// rank 0's driver loop (workers fill `info` and leave `trace` empty --
   /// the trace needs merge-side quantities only rank 0 has).
   /// TrainResult.hot_path.per_shard covers the shards this rank executed
-  /// (all of them on rank 0 of a single-rank world). A worker that loses
+  /// (all of them on rank 0 of a single-rank world), in global shard
+  /// order; a shard it ran in several groups across regroups is one entry
+  /// whose counters cover all of them. A worker that loses
   /// rank 0 returns the model prefix it has, with stats().orphaned set.
   TrainResult train(const BinnedDataset& data,
                     trace::StepTrace* trace = nullptr,

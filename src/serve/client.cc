@@ -371,8 +371,9 @@ LoadResult run_closed_loop(const LoadConfig& cfg, const gbdt::Dataset& queries,
         }
         for (std::uint32_t i = 0; i < cfg.rows_per_request; ++i) {
           const std::uint64_t row = (pc.first_rows[k] + i) % num_records;
-          // Bitwise gate: %.17g round-trips doubles exactly, so served
-          // must equal local Model::predict with zero tolerance.
+          // Bitwise gate: the server's shortest round-trip text parses
+          // back to the exact double, so served must equal local
+          // Model::predict with zero tolerance.
           if (got[i] != expected[row]) ++pc.mismatches;
         }
       }

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "sim/json.h"
 
@@ -46,6 +47,15 @@ gbdt::BinIndex bin_cell(const Cell& cell, const gbdt::FieldBins& fb) {
              : gbdt::categorical_value_bin(cell.categorical, fb);
 }
 
+/// Rejects a row after its first `pushed` cells were staged: pops their
+/// bins so every column is back to its size before the row. Returns false
+/// (the append's result) for the caller to return.
+bool unstage(std::vector<std::vector<gbdt::BinIndex>>* columns,
+             std::uint32_t pushed) {
+  for (std::uint32_t f = 0; f < pushed; ++f) (*columns)[f].pop_back();
+  return false;
+}
+
 }  // namespace
 
 RowBinner::RowBinner(const gbdt::BinnedDataset& data) {
@@ -64,31 +74,25 @@ void RowBinner::reset_columns(
 bool RowBinner::append_csv(
     std::string_view line,
     std::vector<std::vector<gbdt::BinIndex>>* columns) const {
-  std::vector<gbdt::BinIndex> row_bins;  // tiny; see note below
+  // Each cell's bin goes straight into the caller's column as it parses;
+  // a malformed row pops the f bins it pushed, leaving the staged batch as
+  // it was.
   std::size_t pos = 0;
   std::uint32_t f = 0;
-  // Parse and validate the whole row before touching `columns`, so a
-  // malformed row leaves the staged batch untouched. The per-row scratch
-  // stays function-local (not thread_local) because rows are short and
-  // the server parses on one thread anyway; measure before complicating.
-  row_bins.reserve(fields_.size());
   while (true) {
-    if (f >= fields_.size()) return false;  // too many cells
+    if (f >= fields_.size()) return unstage(columns, f);  // too many cells
     const std::size_t comma = line.find(',', pos);
     const std::string_view cell_text =
         comma == std::string_view::npos ? line.substr(pos)
                                         : line.substr(pos, comma - pos);
     const Cell cell = parse_cell(cell_text, fields_[f].kind);
-    if (!cell.ok) return false;
-    row_bins.push_back(bin_cell(cell, fields_[f]));
+    if (!cell.ok) return unstage(columns, f);
+    (*columns)[f].push_back(bin_cell(cell, fields_[f]));
     ++f;
     if (comma == std::string_view::npos) break;
     pos = comma + 1;
   }
-  if (f != fields_.size()) return false;  // too few cells
-  for (std::uint32_t i = 0; i < fields_.size(); ++i) {
-    (*columns)[i].push_back(row_bins[i]);
-  }
+  if (f != fields_.size()) return unstage(columns, f);  // too few cells
   return true;
 }
 
@@ -96,8 +100,6 @@ bool RowBinner::append_json(
     const sim::Json& row,
     std::vector<std::vector<gbdt::BinIndex>>* columns) const {
   if (!row.is_array() || row.size() != fields_.size()) return false;
-  std::vector<gbdt::BinIndex> row_bins;
-  row_bins.reserve(fields_.size());
   for (std::uint32_t f = 0; f < fields_.size(); ++f) {
     const sim::Json& v = row.items()[f];
     Cell cell;
@@ -114,17 +116,21 @@ bool RowBinner::append_json(
         cell.numeric = static_cast<float>(d);
         if (std::isnan(cell.numeric)) cell.missing = true;
       } else {
+        // Range-check before the cast: converting an out-of-range double
+        // to int32 is undefined behaviour.
+        constexpr double kMin = std::numeric_limits<std::int32_t>::min();
+        constexpr double kMax = std::numeric_limits<std::int32_t>::max();
+        if (!(d >= kMin && d <= kMax)) return unstage(columns, f);
         const auto i = static_cast<std::int32_t>(d);
-        if (static_cast<double>(i) != d) return false;  // non-integer category
+        if (static_cast<double>(i) != d) {
+          return unstage(columns, f);  // non-integer category
+        }
         cell.categorical = i;
       }
     } else {
-      return false;
+      return unstage(columns, f);
     }
-    row_bins.push_back(bin_cell(cell, fields_[f]));
-  }
-  for (std::uint32_t i = 0; i < fields_.size(); ++i) {
-    (*columns)[i].push_back(row_bins[i]);
+    (*columns)[f].push_back(bin_cell(cell, fields_[f]));
   }
   return true;
 }

@@ -38,13 +38,16 @@ class RowBinner {
 
   /// Bins one CSV row ("cell,cell,..."; empty cell or "nan" = missing;
   /// numeric cells parse as float32, categorical cells as integers) and
-  /// appends one bin per field to `columns` (size num_fields). Returns
-  /// false -- appending nothing -- on wrong arity or an unparsable cell.
+  /// appends one bin per field to `columns` (size num_fields). Each bin is
+  /// pushed as its cell parses; on wrong arity or an unparsable cell the
+  /// row's pushed bins are popped again and it returns false, so a
+  /// rejected row leaves every column's size and contents unchanged.
   bool append_csv(std::string_view line,
                   std::vector<std::vector<gbdt::BinIndex>>* columns) const;
 
   /// Bins one JSON row (an array with one number-or-null per field; null =
-  /// missing). Same contract as append_csv.
+  /// missing; a categorical cell must be an integer in int32 range). Same
+  /// contract as append_csv.
   bool append_json(const sim::Json& row,
                    std::vector<std::vector<gbdt::BinIndex>>* columns) const;
 

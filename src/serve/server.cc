@@ -8,8 +8,8 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -29,10 +29,14 @@ constexpr std::uint64_t kTimerTag = ~std::uint64_t{0} - 2;
 
 constexpr std::size_t kRecvChunk = 16384;
 
+/// Shortest text that parses back to exactly `value` (std::to_chars'
+/// round-trip guarantee), so parse_predictions recovers the bits.
 void format_prediction(std::string* out, double value) {
-  char buf[40];
-  const int len = std::snprintf(buf, sizeof(buf), "%.17g\n", value);
-  out->append(buf, static_cast<std::size_t>(len));
+  char buf[40];  // the longest shortest-form double is 24 chars
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf) - 1, value);
+  BOOSTER_CHECK_MSG(ec == std::errc(), "to_chars overflowed its buffer");
+  *end = '\n';
+  out->append(buf, static_cast<std::size_t>(end - buf) + 1);
 }
 
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point begin) {

@@ -17,9 +17,11 @@
 //
 // Endpoints:
 //   POST /predict  body = feature rows, CSV lines or a JSON array of
-//                  arrays; responds text/plain, one %.17g prediction per
-//                  row, plus X-Model-Version. 503 + Retry-After when shed
-//                  by admission control (see below).
+//                  arrays; responds text/plain, one prediction per row
+//                  in the shortest text that round-trips the double
+//                  (std::to_chars), plus X-Model-Version. 503 +
+//                  Retry-After when shed by admission control (see
+//                  below).
 //   GET  /healthz  liveness probe
 //   GET  /stats    serving counters as JSON
 //   POST /reload   body = path of a checked model container; swaps the

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace booster::gbdt {
 namespace {
@@ -183,6 +189,102 @@ TEST_P(BinRangeSweep, AllBinsWithinFieldRange) {
 
 INSTANTIATE_TEST_SUITE_P(MaxBins, BinRangeSweep,
                          ::testing::Values(2u, 8u, 64u, 255u));
+
+// Differential check of the one numeric bin rule (a branchless search)
+// against the plain std::lower_bound + clamp it replaces: equal on every
+// probe, for every bound-set size the binner can produce at the edges.
+
+/// The reference rule: missing for NaN or no value bins, else the first
+/// bin whose upper bound is >= v, clamped to the last bin.
+BinIndex reference_bin(float v, const std::vector<float>& bounds) {
+  if (std::isnan(v) || bounds.empty()) return 0;
+  const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
+  const auto idx = static_cast<std::size_t>(it - bounds.begin());
+  return static_cast<BinIndex>(std::min(idx, bounds.size() - 1) + 1);
+}
+
+/// `size` sorted, unique finite bounds. Half the draws are the float right
+/// above the previous draw, so adjacent-float bounds (whose nextafter
+/// neighbours are other bounds) occur in every large set.
+std::vector<float> random_bounds(std::size_t size, util::Rng* rng) {
+  std::set<float> picked;
+  float last = 0.0f;
+  while (picked.size() < size) {
+    if (!picked.empty() && rng->bernoulli(0.5)) {
+      last = std::nextafter(last, std::numeric_limits<float>::infinity());
+    } else {
+      last = static_cast<float>(rng->normal() *
+                                std::pow(10.0, rng->uniform(-4.0, 4.0)));
+    }
+    picked.insert(last);
+  }
+  return {picked.begin(), picked.end()};
+}
+
+std::vector<float> probes_for(const std::vector<float>& bounds) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> probes = {
+      0.0f,
+      -0.0f,
+      kInf,
+      -kInf,
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::lowest(),
+      std::numeric_limits<float>::max(),
+  };
+  for (const float b : bounds) {
+    probes.push_back(b);
+    probes.push_back(std::nextafter(b, -kInf));
+    probes.push_back(std::nextafter(b, kInf));
+  }
+  if (!bounds.empty()) {
+    probes.push_back(bounds.front() - 1.0f - std::abs(bounds.front()));
+    probes.push_back(bounds.back() + 1.0f + std::abs(bounds.back()));
+  }
+  return probes;
+}
+
+void expect_matches_reference(const std::vector<float>& bounds,
+                              const std::string& context) {
+  FieldBins fb;
+  fb.kind = FieldKind::kNumeric;
+  fb.num_bins = static_cast<std::uint32_t>(bounds.size()) + 1;
+  fb.upper_bounds = bounds;
+  for (const float v : probes_for(bounds)) {
+    EXPECT_EQ(numeric_value_bin(v, fb), reference_bin(v, bounds))
+        << context << ", " << bounds.size() << " bounds, v = " << v;
+  }
+}
+
+TEST(NumericValueBin, MatchesLowerBoundOnRandomBoundSets) {
+  util::Rng rng(0xB1B5EA7CULL);
+  for (const std::size_t size : {0u, 1u, 2u, 3u, 254u, 255u}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      expect_matches_reference(random_bounds(size, &rng),
+                               "trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(NumericValueBin, MatchesLowerBoundOnEveryPrefixOfOneSet) {
+  // Every size 1..255 once, so each search depth and each odd/even split
+  // of the halving loop is covered.
+  util::Rng rng(0x5EA4C4ULL);
+  const std::vector<float> full = random_bounds(255, &rng);
+  for (std::size_t size = 1; size <= full.size(); ++size) {
+    expect_matches_reference({full.begin(), full.begin() + size}, "prefix");
+  }
+}
+
+TEST(NumericValueBin, InfiniteAndSignedZeroBoundsMatchReference) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  expect_matches_reference({-kInf, -1.0f, 0.0f, 1.0f, kInf}, "infinite");
+  expect_matches_reference({-0.0f}, "negative zero bound");
+  expect_matches_reference({-kInf}, "only -inf");
+  expect_matches_reference({kInf}, "only +inf");
+}
 
 }  // namespace
 }  // namespace booster::gbdt

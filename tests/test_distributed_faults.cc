@@ -219,6 +219,19 @@ TEST_F(DistributedFaults, AdoptsShardsOfAWorkerThatNeverAppears) {
   const auto single = DistributedTrainer(cfg, nullptr).train(data_);
   EXPECT_EQ(got.hot_path.histogram_acquires,
             single.hot_path.histogram_acquires);
+  // Per shard, too: each global shard's entry folds in the retired groups
+  // that ran it, so the entries match the single-rank world's one by one
+  // and sum to the shard part of histogram_acquires.
+  ASSERT_EQ(got.hot_path.per_shard.size(), 3u);
+  ASSERT_EQ(single.hot_path.per_shard.size(), 3u);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(got.hot_path.per_shard[s].histogram_acquires,
+              single.hot_path.per_shard[s].histogram_acquires)
+        << "shard " << s;
+    EXPECT_EQ(got.hot_path.per_shard[s].rows,
+              single.hot_path.per_shard[s].rows)
+        << "shard " << s;
+  }
 }
 
 TEST_F(DistributedFaults, WorkerWhoseCoordinatorNeverAppearsIsOrphaned) {
